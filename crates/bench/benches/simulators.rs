@@ -189,7 +189,9 @@ fn warm_start() {
         run_campaign(&mafin, &program, StructureId::L2Data, 11, &masks, &cfg);
     });
     bench("warm_start", "checkpointed_k8", || {
-        run_campaign_checkpointed(&mafin, &program, StructureId::L2Data, 11, &masks, &cfg, 8);
+        CampaignRunner::new(&mafin, &program, StructureId::L2Data, 11, &cfg)
+            .with_strategy(Strategy::Checkpointed { checkpoints: 8 })
+            .run(&masks);
     });
 }
 
@@ -367,15 +369,12 @@ fn collapse() {
         run_campaign(&mafin, &program, StructureId::L2Data, 11, &masks, &cfg);
     });
     bench("collapse", "collapsed_40", || {
-        run_campaign_collapsed(
-            &mafin,
-            &program,
-            StructureId::L2Data,
-            11,
-            &masks,
-            &cfg,
-            &profile,
-        );
+        CampaignRunner::new(&mafin, &program, StructureId::L2Data, 11, &cfg)
+            .with_strategy(Strategy::Collapsed {
+                profile: &profile,
+                checkpoints: 0,
+            })
+            .run(&masks);
     });
     report("ratio_40", &masks, &profile);
 
@@ -392,15 +391,12 @@ fn collapse() {
         run_campaign(&mafin, &program, StructureId::IntRegFile, 11, &dense, &cfg);
     });
     bench("collapse", "collapsed_dense", || {
-        run_campaign_collapsed(
-            &mafin,
-            &program,
-            StructureId::IntRegFile,
-            11,
-            &dense,
-            &cfg,
-            &prf_profile,
-        );
+        CampaignRunner::new(&mafin, &program, StructureId::IntRegFile, 11, &cfg)
+            .with_strategy(Strategy::Collapsed {
+                profile: &prf_profile,
+                checkpoints: 0,
+            })
+            .run(&dense);
     });
     report("ratio_dense", &dense, &prf_profile);
 }

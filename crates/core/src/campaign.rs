@@ -14,12 +14,13 @@
 //! * **[`Strategy`]** — *how* each mask executes: [`Strategy::Cold`] boots
 //!   a fresh simulator per run; [`Strategy::Checkpointed`] is the
 //!   warm-start engine (golden-run snapshots shared across workers,
-//!   byte-identical to cold by the PR-2 equivalence oracle);
-//!   [`Strategy::Pruned`] logs statically-proven-masked runs without
-//!   dispatch; [`Strategy::Collapsed`] partitions the mask space into
-//!   provably-equivalent classes (`difi_ace::equivalence`), simulates one
-//!   representative per class, and replicates its result to the members —
-//!   every run stamped with auditable [`ClassProvenance`].
+//!   byte-identical to cold by the `tests/warm_start_equivalence.rs`
+//!   oracle); [`Strategy::Collapsed`] partitions the mask space into
+//!   provably-equivalent classes (`difi_ace::equivalence`), logs the
+//!   members of dead classes — the masks the static ACE analysis proves
+//!   masked — without dispatch, simulates one representative per remaining
+//!   class, and replicates its result to the members — every run stamped
+//!   with auditable [`ClassProvenance`].
 //! * **[`RunSink`]s** — *where* completed runs stream: workers push each
 //!   [`RunLog`] to every sink the moment it finishes, so campaigns persist
 //!   incrementally ([`crate::sink::JournalSink`]), report progress live
@@ -31,8 +32,8 @@
 //! every completed mask, dispatches only the remainder, and returns a
 //! [`CampaignLog`] byte-identical to an uninterrupted run.
 //!
-//! The classic entry points [`run_campaign`], [`run_campaign_checkpointed`]
-//! and [`run_campaign_pruned`] remain as thin wrappers over the runner.
+//! [`run_campaign`] remains as the one-call cold campaign; every other
+//! shape is a [`CampaignRunner::with_strategy`] away.
 //!
 //! A panic escaping a dispatcher is confined to the run that raised it: the
 //! run is logged as [`RunStatus::SimulatorCrash`] (the paper treats
@@ -43,7 +44,7 @@ use crate::classify::Classifier;
 use crate::dispatch::{GoldenSnapshot, InjectorDispatcher};
 use crate::journal::{load_journal, truncate_to_valid, CampaignHeader};
 use crate::logs::{CampaignLog, RunLog};
-use crate::masks::{partition_equivalence, partition_provably_masked, MaskPartition};
+use crate::masks::{partition_equivalence, MaskPartition};
 use crate::model::{
     ClassProvenance, EarlyStop, InjectTime, InjectionSpec, ProofKind, RawRunResult, RunLimits,
     RunStatus,
@@ -96,15 +97,10 @@ pub enum Strategy<'a> {
         /// Number of evenly spaced golden-run checkpoints.
         checkpoints: usize,
     },
-    /// Masks the static ACE analysis proves masked are logged as
-    /// [`EarlyStop::StaticallyPruned`] without dispatch; the rest run cold.
-    Pruned {
-        /// Golden-run residency profile to prune against.
-        profile: &'a AceProfile,
-    },
     /// Fault-equivalence collapsing
     /// ([`partition_equivalence`]):
-    /// dead classes resolve without dispatch (like [`Strategy::Pruned`]);
+    /// dead classes — the masks the static ACE analysis proves masked —
+    /// are logged as [`EarlyStop::StaticallyPruned`] without dispatch;
     /// each latch class dispatches only its representative, whose
     /// classification-relevant result fields replicate to the members;
     /// singletons run normally. Every run — representative, member, or dead
@@ -225,7 +221,7 @@ fn run_caught(
 /// member's own run would produce exactly these. Per-run measurements
 /// (cycles, instructions) stay `None`: the member never executed, and
 /// fabricated timings would poison cycle aggregates (the same rule
-/// [`RawRunResult::unexecuted`] applies to pruned runs).
+/// [`RawRunResult::unexecuted`] applies to dead-class runs).
 fn replicate_result(rep: &RawRunResult) -> RawRunResult {
     RawRunResult {
         status: rep.status.clone(),
@@ -637,28 +633,8 @@ impl<'a> CampaignRunner<'a> {
             done[i] = true;
         }
 
-        // Strategy preprocessing: statically pruned masks resolve without
-        // dispatch (and stream to sinks like any completed run).
-        if let Strategy::Pruned { profile } = self.strategy {
-            let (pruned, _) = partition_provably_masked(masks, profile);
-            for i in pruned {
-                if done[i] {
-                    continue;
-                }
-                let log = RunLog {
-                    spec: masks[i].clone(),
-                    result: RawRunResult::unexecuted(RunStatus::EarlyStopMasked(
-                        EarlyStop::StaticallyPruned,
-                    )),
-                    provenance: None,
-                };
-                deliver(metrics_sink.as_ref(), i, &log, None, None);
-                done[i] = true;
-            }
-        }
-
         // Strategy preprocessing: fault-equivalence collapsing. Dead
-        // classes resolve statically like pruning; every run carries its
+        // classes resolve statically without dispatch; every run carries its
         // class provenance. A latch/singleton class with a journaled member
         // replicates from it without dispatch; the rest become
         // (representative, members-to-replicate) jobs, so the journal
@@ -755,7 +731,7 @@ impl<'a> CampaignRunner<'a> {
         let snap_checkpoints = match self.strategy {
             Strategy::Checkpointed { checkpoints } => checkpoints,
             Strategy::Collapsed { checkpoints, .. } => checkpoints,
-            _ => 0,
+            Strategy::Cold => 0,
         };
         let snaps: Vec<GoldenSnapshot> = if snap_checkpoints > 0 {
             let golden_cycles = golden.cycles_measured();
@@ -799,7 +775,7 @@ impl<'a> CampaignRunner<'a> {
         let sort_for_warm_start = match self.strategy {
             Strategy::Checkpointed { .. } => true,
             Strategy::Collapsed { checkpoints, .. } => checkpoints > 0,
-            _ => false,
+            Strategy::Cold => false,
         };
         if sort_for_warm_start {
             jobs.sort_by_key(|&(i, _)| warm_start_cycle(&masks[i]).unwrap_or(u64::MAX));
@@ -807,7 +783,7 @@ impl<'a> CampaignRunner<'a> {
         let jobs = jobs;
 
         // One runner closure serves every strategy: with no snapshots
-        // captured (cold / pruned / unsupported dispatcher) every mask
+        // captured (cold / unsupported dispatcher) every mask
         // falls back to the always-correct cold path. With tracing on, the
         // traced dispatcher paths carry the event stream alongside the
         // (byte-identical) result.
@@ -968,132 +944,6 @@ pub fn run_campaign(
     cfg: &CampaignConfig,
 ) -> CampaignLog {
     CampaignRunner::new(dispatcher, program, structure, seed, cfg).run(masks)
-}
-
-/// Runs a campaign through the **checkpointed warm-start engine** — a thin
-/// wrapper over [`CampaignRunner`] with [`Strategy::Checkpointed`].
-///
-/// Masks that cannot warm-start (instruction-scheduled faults, injection
-/// before the first checkpoint) and dispatchers without snapshot support
-/// fall back to the cold path, which is always equivalent: the fault-free
-/// prefix is deterministic, so skipping it changes wall-clock only. The
-/// returned log is byte-identical to [`run_campaign`]'s — which therefore
-/// stays available as a differential oracle.
-///
-/// # Panics
-///
-/// Panics if the golden run does not complete (same contract as
-/// [`run_campaign`]).
-pub fn run_campaign_checkpointed(
-    dispatcher: &dyn InjectorDispatcher,
-    program: &Program,
-    structure: StructureId,
-    seed: u64,
-    masks: &[InjectionSpec],
-    cfg: &CampaignConfig,
-    checkpoints: usize,
-) -> CampaignLog {
-    CampaignRunner::new(dispatcher, program, structure, seed, cfg)
-        .with_strategy(Strategy::Checkpointed { checkpoints })
-        .run(masks)
-}
-
-/// A campaign run with static-ACE pre-dispatch pruning applied.
-#[derive(Debug)]
-pub struct PrunedCampaign {
-    /// The complete log: every mask appears exactly once, pruned ones as
-    /// [`EarlyStop::StaticallyPruned`] runs.
-    pub log: CampaignLog,
-    /// Spec ids classified Masked before dispatch (logged, not dropped).
-    pub pruned_ids: Vec<u64>,
-    /// Masks actually dispatched to the simulator (excluding the golden
-    /// run).
-    pub dispatched: usize,
-}
-
-/// Runs a campaign with ACE pruning — a thin wrapper over
-/// [`CampaignRunner`] with [`Strategy::Pruned`]. Masks the golden-run
-/// residency `profile` proves masked are logged as
-/// [`EarlyStop::StaticallyPruned`] without booting a simulator; the rest
-/// run normally. Verdict totals are identical to [`run_campaign`] — only
-/// the dispatch count changes. Pruned runs carry *no* measurements
-/// ([`RawRunResult::unexecuted`]): they never executed, so a fabricated
-/// `cycles: 0` would poison cycle aggregates.
-///
-/// # Panics
-///
-/// Panics if the golden run does not complete (same contract as
-/// [`run_campaign`]).
-pub fn run_campaign_pruned(
-    dispatcher: &dyn InjectorDispatcher,
-    program: &Program,
-    structure: StructureId,
-    seed: u64,
-    masks: &[InjectionSpec],
-    cfg: &CampaignConfig,
-    profile: &AceProfile,
-) -> PrunedCampaign {
-    let (pruned, dispatch) = partition_provably_masked(masks, profile);
-    let log = CampaignRunner::new(dispatcher, program, structure, seed, cfg)
-        .with_strategy(Strategy::Pruned { profile })
-        .run(masks);
-    PrunedCampaign {
-        log,
-        pruned_ids: pruned.iter().map(|&i| masks[i].id).collect(),
-        dispatched: dispatch.len(),
-    }
-}
-
-/// A campaign run through fault-equivalence collapsing.
-#[derive(Debug)]
-pub struct CollapsedCampaign {
-    /// The complete log: every mask appears exactly once, each stamped with
-    /// its [`ClassProvenance`]; dead-class members as
-    /// [`EarlyStop::StaticallyPruned`] runs, latch-class members with their
-    /// representative's replicated result.
-    pub log: CampaignLog,
-    /// The equivalence partition the campaign collapsed through.
-    pub partition: MaskPartition,
-    /// Masks actually dispatched to the simulator (one representative per
-    /// non-dead class; excluding the golden run).
-    pub dispatched: usize,
-}
-
-/// Runs a campaign with **fault-equivalence collapsing** — a thin wrapper
-/// over [`CampaignRunner`] with [`Strategy::Collapsed`] (cold
-/// representatives; compose `Strategy::Collapsed { checkpoints, .. }`
-/// directly to warm-start them). The masks repository is statically
-/// partitioned against `profile`; only one representative per
-/// non-dead class boots a simulator. Per-mask classifications are
-/// identical to [`run_campaign`] — the `tests/collapse_equivalence.rs`
-/// differential oracle — while dispatch count drops by the collapse ratio.
-///
-/// # Panics
-///
-/// Panics if the golden run does not complete (same contract as
-/// [`run_campaign`]).
-pub fn run_campaign_collapsed(
-    dispatcher: &dyn InjectorDispatcher,
-    program: &Program,
-    structure: StructureId,
-    seed: u64,
-    masks: &[InjectionSpec],
-    cfg: &CampaignConfig,
-    profile: &AceProfile,
-) -> CollapsedCampaign {
-    let partition = partition_equivalence(masks, profile);
-    let log = CampaignRunner::new(dispatcher, program, structure, seed, cfg)
-        .with_strategy(Strategy::Collapsed {
-            profile,
-            checkpoints: 0,
-        })
-        .run(masks);
-    let dispatched = partition.dispatch_count();
-    CollapsedCampaign {
-        log,
-        partition,
-        dispatched,
-    }
 }
 
 #[cfg(test)]
@@ -1399,16 +1249,11 @@ mod tests {
             threads: 2,
             ..Default::default()
         };
-        let cold = run_campaign(&d, &program(), StructureId::IntRegFile, 7, &masks(12), &cfg);
-        let warm = run_campaign_checkpointed(
-            &d,
-            &program(),
-            StructureId::IntRegFile,
-            7,
-            &masks(12),
-            &cfg,
-            4,
-        );
+        let p = program();
+        let cold = run_campaign(&d, &p, StructureId::IntRegFile, 7, &masks(12), &cfg);
+        let warm = CampaignRunner::new(&d, &p, StructureId::IntRegFile, 7, &cfg)
+            .with_strategy(Strategy::Checkpointed { checkpoints: 4 })
+            .run(&masks(12));
         assert_eq!(cold, warm);
     }
 
@@ -1605,41 +1450,6 @@ mod tests {
         std::fs::remove_file(&path).ok();
     }
 
-    #[test]
-    fn pruned_strategy_streams_pruned_runs_to_sinks() {
-        // A journaled pruned campaign journals its statically-pruned runs
-        // too — resume must not re-dispatch them.
-        use difi_ace::AceProfile;
-
-        let path = temp_journal("pruned.jsonl");
-        let cfg = CampaignConfig {
-            threads: 1,
-            ..Default::default()
-        };
-        let p = program();
-        let m = masks(6);
-        // An incomplete empty profile proves nothing masked; the strategy
-        // still works end-to-end (all masks dispatch). A full pruning test
-        // with a real profile lives in tests/ace_pruning.rs.
-        let profile = AceProfile::new(difi_uarch::residency::ResidencyLog {
-            structure: StructureId::IntRegFile,
-            entries: 8,
-            bits: 64,
-            cycles: 0,
-            complete: false,
-            events: std::collections::BTreeMap::new(),
-        })
-        .expect("int_prf is a data plane");
-        let d = FakeDispatcher::new();
-        let runner = CampaignRunner::new(&d, &p, StructureId::IntRegFile, 4, &cfg)
-            .with_strategy(Strategy::Pruned { profile: &profile });
-        let log = runner.run_journaled(&m, &path, &[]).expect("journaled run");
-        assert_eq!(log.runs.len(), 6);
-        let back = load_journal(&path).expect("journal loads");
-        assert_eq!(back.runs.len(), 6, "every run journaled");
-        std::fs::remove_file(&path).ok();
-    }
-
     /// A profile over FakeDispatcher's register file with one
     /// write@2 → read@5 interval on (entry 0, bit 0): `masks(9)` (cycles
     /// 0..9 at that site) partitions into Dead[0,1,2], Latch[3,4,5],
@@ -1663,27 +1473,26 @@ mod tests {
     fn collapsed_strategy_dispatches_one_representative_per_latch_class() {
         let d = FakeDispatcher::new();
         let profile = collapse_profile();
-        let collapsed = run_campaign_collapsed(
-            &d,
-            &program(),
-            StructureId::IntRegFile,
-            4,
-            &masks(9),
-            &CampaignConfig {
-                threads: 2,
-                ..Default::default()
-            },
-            &profile,
-        );
+        let p = program();
+        let cfg = CampaignConfig {
+            threads: 2,
+            ..Default::default()
+        };
+        let log = CampaignRunner::new(&d, &p, StructureId::IntRegFile, 4, &cfg)
+            .with_strategy(Strategy::Collapsed {
+                profile: &profile,
+                checkpoints: 0,
+            })
+            .run(&masks(9));
         assert_eq!(
             d.calls.load(Ordering::SeqCst),
             2,
             "golden + 1 representative"
         );
-        assert_eq!(collapsed.dispatched, 1);
-        assert_eq!(collapsed.partition.class_count(), 3);
-        assert!((collapsed.partition.collapse_ratio() - 3.0).abs() < 1e-12);
-        let log = &collapsed.log;
+        let partition = partition_equivalence(&masks(9), &profile);
+        assert_eq!(partition.dispatch_count(), 1);
+        assert_eq!(partition.class_count(), 3);
+        assert!((partition.collapse_ratio() - 3.0).abs() < 1e-12);
         assert_eq!(log.runs.len(), 9, "every mask logged exactly once");
         for (i, run) in log.runs.iter().enumerate() {
             assert_eq!(run.spec.id, i as u64);
@@ -1715,6 +1524,42 @@ mod tests {
             assert_eq!(member.cycles, None, "member {i} never executed");
             assert_eq!(member.instructions, None);
         }
+    }
+
+    #[test]
+    fn collapsed_dead_classes_stream_to_sinks() {
+        // A journaled collapsed campaign delivers its statically resolved
+        // dead-class runs to every sink, the journal included, so resume
+        // never re-dispatches them.
+        let path = temp_journal("dead.jsonl");
+        let cfg = CampaignConfig {
+            threads: 1,
+            ..Default::default()
+        };
+        let p = program();
+        let m = masks(9);
+        let profile = collapse_profile();
+        let d = FakeDispatcher::new();
+        let sink = MemorySink::new();
+        let runner = CampaignRunner::new(&d, &p, StructureId::IntRegFile, 4, &cfg).with_strategy(
+            Strategy::Collapsed {
+                profile: &profile,
+                checkpoints: 0,
+            },
+        );
+        let log = runner
+            .run_journaled(&m, &path, &[&sink])
+            .expect("journaled run");
+        assert_eq!(log.runs.len(), 9);
+        let dead =
+            |r: &RunLog| r.result.status == RunStatus::EarlyStopMasked(EarlyStop::StaticallyPruned);
+        let streamed = sink.into_runs();
+        assert_eq!(streamed.len(), 9, "every run reaches a user sink");
+        assert_eq!(streamed.iter().filter(|r| dead(r)).count(), 6);
+        let back = load_journal(&path).expect("journal loads");
+        assert_eq!(back.runs.len(), 9, "every run journaled");
+        assert_eq!(back.runs.iter().filter(|(_, r)| dead(r)).count(), 6);
+        std::fs::remove_file(&path).ok();
     }
 
     #[test]

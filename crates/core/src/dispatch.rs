@@ -4,9 +4,12 @@
 //! In the paper, "the *Injection Campaign Controller* reads the masks from
 //! the repository and sends injection requests to the *Injector Dispatcher*
 //! which is the module that directly communicates with the MARSS or Gem5
-//! simulator". [`InjectorDispatcher`] is that module's contract: MaFIN's
-//! implementation (over MarsSim) lives in `difi-mars`, GeFIN's (over GemSim)
-//! in `difi-gem`.
+//! simulator". [`InjectorDispatcher`] is that module's contract. It is
+//! implemented once, in [`crate::substrate`], for every [`CoreBacked`]
+//! injector: MaFIN (`difi-mars`, over MarsSim) and GeFIN (`difi-gem`, over
+//! GemSim) only name their core configuration.
+//!
+//! [`CoreBacked`]: crate::substrate::CoreBacked
 
 use crate::model::{InjectionSpec, RawRunResult, RunLimits};
 use difi_isa::program::{Isa, Program};
@@ -20,9 +23,10 @@ use std::sync::Arc;
 ///
 /// Captured by [`InjectorDispatcher::golden_snapshots`] and consumed by
 /// [`InjectorDispatcher::run_from`], which downcasts `state` back to the
-/// dispatcher's concrete simulator type. The campaign controller only reads
-/// `cycle` — to pick, per mask, the latest snapshot at or before the
-/// injection cycle — and shares the set immutably across worker threads
+/// dispatcher's concrete simulator type; a snapshot of another simulator or
+/// another core configuration runs cold instead. The campaign controller
+/// only reads `cycle` — to pick, per mask, the latest snapshot at or before
+/// the injection cycle — and shares the set immutably across worker threads
 /// (restoring is a clone; the snapshot itself is never mutated).
 pub struct GoldenSnapshot {
     /// Cycle at which the golden run was paused (state is exactly the

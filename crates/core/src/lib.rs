@@ -16,7 +16,7 @@
 //!    [`campaign::CampaignRunner`] execution core drains the masks
 //!    repository through an [`dispatch::InjectorDispatcher`] under a
 //!    pluggable [`campaign::Strategy`] (cold / checkpointed warm-start /
-//!    statically pruned), applying the paper's §III.B.2 early-stop
+//!    equivalence-collapsed), applying the paper's §III.B.2 early-stop
 //!    optimizations in parallel worker threads. Completed runs stream to
 //!    [`sink::RunSink`]s — in-memory collection, an append-only JSONL
 //!    [`journal`] enabling crash-resume, and live progress telemetry — and
@@ -39,10 +39,7 @@ pub mod report;
 pub mod sink;
 pub mod substrate;
 
-pub use campaign::{
-    run_campaign, run_campaign_checkpointed, run_campaign_pruned, CampaignConfig, CampaignRunner,
-    PrunedCampaign, Strategy,
-};
+pub use campaign::{run_campaign, CampaignConfig, CampaignRunner, Strategy};
 pub use classify::{Classifier, Outcome};
 pub use dispatch::{GoldenSnapshot, InjectorDispatcher};
 pub use journal::{load_journal, CampaignHeader};
@@ -56,3 +53,4 @@ pub use sink::{
     JournalSink, MemoryProfileSink, MemorySink, MemoryTraceSink, MetricsSink, ProgressSink,
     RunSink, TraceSink,
 };
+pub use substrate::{CoreBacked, CoreSpec};

@@ -435,26 +435,6 @@ pub fn spec_provably_masked(spec: &InjectionSpec, profile: &AceProfile) -> bool 
         })
 }
 
-/// Splits a masks repository into (provably-masked, must-dispatch) index
-/// sets. Pruned masks are returned, never dropped: the campaign controller
-/// logs each as an [`EarlyStop::StaticallyPruned`](crate::model::EarlyStop)
-/// run.
-pub fn partition_provably_masked(
-    masks: &[InjectionSpec],
-    profile: &AceProfile,
-) -> (Vec<usize>, Vec<usize>) {
-    let mut pruned = Vec::new();
-    let mut dispatch = Vec::new();
-    for (i, m) in masks.iter().enumerate() {
-        if spec_provably_masked(m, profile) {
-            pruned.push(i);
-        } else {
-            dispatch.push(i);
-        }
-    }
-    (pruned, dispatch)
-}
-
 /// One fault-equivalence class over a masks repository.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct MaskClass {
@@ -559,9 +539,9 @@ impl MaskPartition {
 /// * `Unproven` sites become [`ProofKind::Singleton`] classes.
 ///
 /// Ineligible masks become singletons too, with one exception: a
-/// *multi-fault* spec that [`spec_provably_masked`] proves dead keeps its
-/// PR 1 pruning as a one-member `DeadInterval` class, so collapsing never
-/// dispatches more than pruning would.
+/// *multi-fault* spec that [`spec_provably_masked`] proves dead becomes a
+/// one-member `DeadInterval` class, so the dead-class members are exactly
+/// the masks [`spec_provably_masked`] accepts.
 ///
 /// Classes never span distinct (entry, bit) pairs or different specs'
 /// fault shapes; every mask lands in exactly one class.
@@ -791,8 +771,9 @@ mod tests {
         let empty = InjectionSpec::fault_free(9);
         assert!(!spec_provably_masked(&empty, &profile));
 
-        let masks = vec![transient, by_instr];
-        let (pruned, dispatch) = partition_provably_masked(&masks, &profile);
+        let masks = [transient, by_instr];
+        let (pruned, dispatch): (Vec<usize>, Vec<usize>) =
+            (0..masks.len()).partition(|&i| spec_provably_masked(&masks[i], &profile));
         assert_eq!(pruned, vec![0]);
         assert_eq!(dispatch, vec![1]);
     }
@@ -884,7 +865,7 @@ mod tests {
     #[test]
     fn partition_dead_classes_agree_with_binary_pruner() {
         // Over a seeded random repository, the union of DeadInterval class
-        // members must equal the PR 1 pruned set exactly.
+        // members must equal the set `spec_provably_masked` proves exactly.
         let p = traced_profile();
         let mut g = MaskGenerator::new(99);
         let masks = g.transient(&desc(), 1_000, 300);
@@ -897,7 +878,9 @@ mod tests {
             .flat_map(|c| c.members.iter().copied())
             .collect();
         dead.sort_unstable();
-        let (pruned, _) = partition_provably_masked(&masks, &p);
+        let pruned: Vec<usize> = (0..masks.len())
+            .filter(|&i| spec_provably_masked(&masks[i], &p))
+            .collect();
         assert_eq!(dead, pruned);
         // Every mask lands in exactly one class.
         let mut all: Vec<usize> = part

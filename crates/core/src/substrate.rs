@@ -1,25 +1,24 @@
-//! The shared dispatcher substrate: everything a simulator-backed
-//! [`InjectorDispatcher`](crate::dispatch::InjectorDispatcher) needs to
-//! translate between campaign vocabulary ([`crate::model`]) and the
-//! pipeline engine (`difi_uarch::pipeline`), plus the run shapes every
-//! backend shares (cold run, warm resume, snapshot capture, residency
-//! tracing).
+//! The simulator-backed injector dispatcher, implemented once.
 //!
 //! Both injectors of the paper are *configurations*, not codebases: MaFIN
 //! and GeFIN differ in their Table-II core parameters and policy bits, while
-//! the mask→engine translation and the run loop are identical. Keeping that
-//! substrate here (rather than in one injector crate) keeps the dependency
-//! graph honest — `difi-mars` and `difi-gem` both depend on `difi-core`,
-//! and neither depends on the other.
+//! the mask→engine translation and the run loop are identical. A backend
+//! therefore only names its [`CoreSpec`] through [`CoreBacked`]; the one
+//! [`InjectorDispatcher`] implementation here serves every trait method
+//! from three private shapes — a run (cold or restored, with the
+//! observation the method asks for), a snapshot capture, and a residency
+//! pass. Keeping that code here keeps the dependency graph honest:
+//! `difi-mars` and `difi-gem` both depend on `difi-core`, and neither
+//! depends on the other.
 
-use crate::dispatch::GoldenSnapshot;
+use crate::dispatch::{GoldenSnapshot, InjectorDispatcher};
 use crate::model::{
     EarlyStop, FaultDuration, InjectTime, InjectionSpec, RawRunResult, RunLimits, RunStatus,
     ScenarioKind,
 };
-use difi_isa::program::Program;
+use difi_isa::program::{Isa, Program};
 use difi_obs::trace::{FaultTrace, TraceEvent, TraceEventKind};
-use difi_uarch::fault::StructureId;
+use difi_uarch::fault::{StructureDesc, StructureId};
 use difi_uarch::pipeline::engine::{
     EarlyWhy, EngineFault, EngineLimits, EngineScenario, ScenarioTrigger,
 };
@@ -28,8 +27,268 @@ use difi_uarch::residency::ResidencyLog;
 use difi_uarch::ProfileCounters;
 use std::sync::Arc;
 
+/// Everything that distinguishes one simulator-backed injector from
+/// another: its name, the ISA it simulates, and its core configuration.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct CoreSpec {
+    /// Human-readable injector name (`"MaFIN-x86"`, `"GeFIN-ARM"`, …).
+    pub name: &'static str,
+    /// The ISA this injector simulates.
+    pub isa: Isa,
+    /// The `OoOCore` configuration every run boots.
+    pub cfg: CoreConfig,
+}
+
+/// An injector that is one [`CoreSpec`] over the shared `OoOCore` engine.
+/// Implementing it yields the full [`InjectorDispatcher`] — cold and warm
+/// runs, snapshot capture, residency tracing, signature recording, fault
+/// tracing and profiling.
+pub trait CoreBacked: Sync {
+    /// The injector's name, ISA and core configuration.
+    fn core_spec(&self) -> &CoreSpec;
+}
+
+impl<T: CoreBacked> InjectorDispatcher for T {
+    fn name(&self) -> &str {
+        self.core_spec().name
+    }
+
+    fn isa(&self) -> Isa {
+        self.core_spec().isa
+    }
+
+    fn structures(&self) -> Vec<StructureDesc> {
+        OoOCore::structures(&self.core_spec().cfg)
+    }
+
+    fn run(&self, program: &Program, spec: &InjectionSpec, limits: &RunLimits) -> RawRunResult {
+        let core = start(self.core_spec(), program, None);
+        simulate(core, spec, limits, Observe::Nothing).0
+    }
+
+    fn golden_residency(
+        &self,
+        program: &Program,
+        structures: &[StructureId],
+        max_cycles: u64,
+    ) -> Vec<ResidencyLog> {
+        residency(
+            start(self.core_spec(), program, None),
+            structures,
+            max_cycles,
+        )
+    }
+
+    fn golden_snapshots(
+        &self,
+        program: &Program,
+        at_cycles: &[u64],
+        limits: &RunLimits,
+    ) -> Option<Vec<GoldenSnapshot>> {
+        let core = start(self.core_spec(), program, None);
+        Some(capture(core, at_cycles, limits, false))
+    }
+
+    fn run_from(
+        &self,
+        snap: &GoldenSnapshot,
+        program: &Program,
+        spec: &InjectionSpec,
+        limits: &RunLimits,
+    ) -> RawRunResult {
+        let core = start(self.core_spec(), program, Some(snap));
+        simulate(core, spec, limits, Observe::Nothing).0
+    }
+
+    fn golden_run_recording(
+        &self,
+        program: &Program,
+        spec: &InjectionSpec,
+        limits: &RunLimits,
+    ) -> (RawRunResult, Option<Arc<Vec<u64>>>) {
+        let core = start(self.core_spec(), program, None);
+        let (result, seen) = simulate(core, spec, limits, Observe::Signature);
+        (result, seen.signature)
+    }
+
+    fn run_traced(
+        &self,
+        program: &Program,
+        spec: &InjectionSpec,
+        limits: &RunLimits,
+        golden_sig: Option<&Arc<Vec<u64>>>,
+    ) -> (RawRunResult, Option<FaultTrace>) {
+        let core = start(self.core_spec(), program, None);
+        let (result, seen) = simulate(core, spec, limits, Observe::Trace(golden_sig));
+        (result, seen.trace)
+    }
+
+    fn run_from_traced(
+        &self,
+        snap: &GoldenSnapshot,
+        program: &Program,
+        spec: &InjectionSpec,
+        limits: &RunLimits,
+        golden_sig: Option<&Arc<Vec<u64>>>,
+    ) -> (RawRunResult, Option<FaultTrace>) {
+        let core = start(self.core_spec(), program, Some(snap));
+        let (result, seen) = simulate(core, spec, limits, Observe::Trace(golden_sig));
+        (result, seen.trace)
+    }
+
+    fn run_profiled(
+        &self,
+        program: &Program,
+        spec: &InjectionSpec,
+        limits: &RunLimits,
+    ) -> (RawRunResult, Option<ProfileCounters>) {
+        let core = start(self.core_spec(), program, None);
+        let (result, seen) = simulate(core, spec, limits, Observe::Profile);
+        (result, seen.profile)
+    }
+
+    fn run_from_profiled(
+        &self,
+        snap: &GoldenSnapshot,
+        program: &Program,
+        spec: &InjectionSpec,
+        limits: &RunLimits,
+    ) -> (RawRunResult, Option<ProfileCounters>) {
+        let core = start(self.core_spec(), program, Some(snap));
+        let (result, seen) = simulate(core, spec, limits, Observe::Profile);
+        (result, seen.profile)
+    }
+
+    fn golden_snapshots_profiled(
+        &self,
+        program: &Program,
+        at_cycles: &[u64],
+        limits: &RunLimits,
+    ) -> Option<Vec<GoldenSnapshot>> {
+        let core = start(self.core_spec(), program, None);
+        Some(capture(core, at_cycles, limits, true))
+    }
+}
+
+/// The core one run starts from: a clone of `snap`'s paused golden core
+/// when it was captured under this configuration, otherwise a freshly
+/// booted one. A foreign snapshot — another engine's state, or an `OoOCore`
+/// of another configuration — thus falls back to the always-correct cold
+/// path.
+fn start(core: &CoreSpec, program: &Program, snap: Option<&GoldenSnapshot>) -> OoOCore {
+    assert_eq!(
+        program.isa, core.isa,
+        "{} simulates {} programs",
+        core.name, core.isa
+    );
+    match snap.and_then(|s| s.state.downcast_ref::<OoOCore>()) {
+        Some(paused) if *paused.config() == core.cfg => paused.clone(),
+        _ => OoOCore::new(core.cfg, program),
+    }
+}
+
+/// What one run observes besides its result.
+#[derive(Clone, Copy)]
+enum Observe<'a> {
+    Nothing,
+    /// Record the per-commit architectural signature (golden runs).
+    Signature,
+    /// Trace the fault lifecycle against the golden signature.
+    Trace(Option<&'a Arc<Vec<u64>>>),
+    /// Run the stall/occupancy profiler.
+    Profile,
+}
+
+/// The observations one run returned; only the requested one is `Some`.
+#[derive(Default)]
+struct Observed {
+    signature: Option<Arc<Vec<u64>>>,
+    trace: Option<FaultTrace>,
+    profile: Option<ProfileCounters>,
+}
+
+/// Arms the mask's faults on a booted or restored `core` and simulates it
+/// to a terminal state. Every observation only reads pipeline state, so the
+/// result is byte-identical whatever `observe` asks for. A restored core
+/// from a profiled snapshot already carries its prefix counters (enabling
+/// here only raises the gate), so its final counters equal a cold profiled
+/// run's.
+fn simulate(
+    mut core: OoOCore,
+    spec: &InjectionSpec,
+    limits: &RunLimits,
+    observe: Observe<'_>,
+) -> (RawRunResult, Observed) {
+    match observe {
+        Observe::Nothing => {}
+        Observe::Signature => core.enable_signature_recording(),
+        Observe::Trace(golden_sig) => core.enable_fault_tracing(golden_sig.cloned()),
+        Observe::Profile => core.enable_profiling(),
+    }
+    let faults = to_engine_faults(spec);
+    let run = core.run_scenario(&faults, to_engine_scenario(spec), &to_engine_limits(limits));
+    let result = to_raw_result(&core, run);
+    let seen = match observe {
+        Observe::Nothing => Observed::default(),
+        Observe::Signature => Observed {
+            signature: Some(Arc::new(core.take_signature())),
+            ..Observed::default()
+        },
+        Observe::Trace(_) => Observed {
+            trace: assemble_trace(&core, spec),
+            ..Observed::default()
+        },
+        Observe::Profile => Observed {
+            profile: core.profile_counters(),
+            ..Observed::default()
+        },
+    };
+    (result, seen)
+}
+
+/// Drives a fresh `core` through the fault-free prefix, pausing at each
+/// cycle of `at_cycles` (sorted ascending) and snapshotting via `Clone`.
+/// Capture stops early if the program terminates before a requested cycle.
+/// With `profiled`, the profiler runs from reset, so each snapshot holds the
+/// stall/occupancy counters of its prefix.
+fn capture(
+    mut core: OoOCore,
+    at_cycles: &[u64],
+    limits: &RunLimits,
+    profiled: bool,
+) -> Vec<GoldenSnapshot> {
+    if profiled {
+        core.enable_profiling();
+    }
+    let elim = to_engine_limits(limits);
+    let mut snaps = Vec::with_capacity(at_cycles.len());
+    for &cycle in at_cycles {
+        if core.run_until(&[], &elim, Some(cycle)).is_some() {
+            break; // terminal state before this checkpoint — stop capturing
+        }
+        snaps.push(GoldenSnapshot {
+            cycle,
+            state: Box::new(core.clone()),
+        });
+    }
+    snaps
+}
+
+/// One fault-free run with residency tracing enabled on `structures`,
+/// feeding the ACE analysis.
+fn residency(mut core: OoOCore, structures: &[StructureId], max_cycles: u64) -> Vec<ResidencyLog> {
+    core.enable_residency(structures);
+    let elim = EngineLimits {
+        max_cycles,
+        early_stop: false,
+        deadlock_window: RunLimits::golden(max_cycles).deadlock_window,
+    };
+    core.run(&[], &elim);
+    core.take_residency()
+}
+
 /// Translates campaign fault records into engine coordinates.
-pub fn to_engine_faults(spec: &InjectionSpec) -> Vec<EngineFault> {
+fn to_engine_faults(spec: &InjectionSpec) -> Vec<EngineFault> {
     spec.faults()
         .iter()
         .map(|f| EngineFault {
@@ -56,7 +315,7 @@ pub fn to_engine_faults(spec: &InjectionSpec) -> Vec<EngineFault> {
 /// Translates the campaign's scenario into engine coordinates. Bit-flip
 /// scenarios carry no control-flow payload ([`EngineScenario::None`]); their
 /// sites go through [`to_engine_faults`].
-pub fn to_engine_scenario(spec: &InjectionSpec) -> EngineScenario {
+fn to_engine_scenario(spec: &InjectionSpec) -> EngineScenario {
     let at = |t: InjectTime| match t {
         InjectTime::Cycle(c) => ScenarioTrigger::Cycle(c),
         InjectTime::Instruction(n) => ScenarioTrigger::Instruction(n),
@@ -76,7 +335,7 @@ pub fn to_engine_scenario(spec: &InjectionSpec) -> EngineScenario {
 }
 
 /// Translates campaign limits into engine limits.
-pub fn to_engine_limits(limits: &RunLimits) -> EngineLimits {
+fn to_engine_limits(limits: &RunLimits) -> EngineLimits {
     EngineLimits {
         max_cycles: limits.max_cycles,
         early_stop: limits.early_stop,
@@ -85,7 +344,7 @@ pub fn to_engine_limits(limits: &RunLimits) -> EngineLimits {
 }
 
 /// Converts an engine exit into the campaign's raw status vocabulary.
-pub fn to_run_status(core: &OoOCore, exit: SimExit) -> RunStatus {
+fn to_run_status(core: &OoOCore, exit: SimExit) -> RunStatus {
     match exit {
         SimExit::Exited(code) => RunStatus::Completed { exit_code: code },
         SimExit::ProcessCrash(f) => RunStatus::ProcessCrash(f.to_string()),
@@ -101,7 +360,7 @@ pub fn to_run_status(core: &OoOCore, exit: SimExit) -> RunStatus {
 }
 
 /// Assembles a finished engine run into the campaign's raw-result record.
-pub fn to_raw_result(core: &OoOCore, run: SimRun) -> RawRunResult {
+fn to_raw_result(core: &OoOCore, run: SimRun) -> RawRunResult {
     RawRunResult {
         status: to_run_status(core, run.exit),
         output: run.output,
@@ -110,164 +369,6 @@ pub fn to_raw_result(core: &OoOCore, run: SimRun) -> RawRunResult {
         instructions: Some(run.stats.committed_instructions),
         fault_consumed: run.fault_consumed,
     }
-}
-
-/// The shared cold-run shape: boots a fresh core over `cfg`, arms the
-/// mask's faults, and simulates to a terminal state.
-pub fn cold_run(
-    cfg: CoreConfig,
-    program: &Program,
-    spec: &InjectionSpec,
-    limits: &RunLimits,
-) -> RawRunResult {
-    let mut core = OoOCore::new(cfg, program);
-    let faults = to_engine_faults(spec);
-    let run = core.run_scenario(&faults, to_engine_scenario(spec), &to_engine_limits(limits));
-    to_raw_result(&core, run)
-}
-
-/// The shared warm-resume shape: clones the snapshotted core, arms the
-/// mask's faults, and simulates the remainder. Returns `None` when `snap`
-/// does not hold this engine's core type (a foreign snapshot) — the caller
-/// falls back to the always-correct cold path.
-pub fn warm_run(
-    snap: &GoldenSnapshot,
-    spec: &InjectionSpec,
-    limits: &RunLimits,
-) -> Option<RawRunResult> {
-    let paused = snap.state.downcast_ref::<OoOCore>()?;
-    let mut core = paused.clone();
-    let faults = to_engine_faults(spec);
-    let run = core.run_scenario(&faults, to_engine_scenario(spec), &to_engine_limits(limits));
-    Some(to_raw_result(&core, run))
-}
-
-/// Shared warm-start capture: drives a fresh `core` through the fault-free
-/// prefix, pausing at each cycle of `at_cycles` (sorted ascending) and
-/// snapshotting via `Clone`. Capture stops early if the program terminates
-/// before a requested cycle. Used by both MaFIN and GeFIN.
-pub fn capture_snapshots(
-    mut core: OoOCore,
-    at_cycles: &[u64],
-    limits: &RunLimits,
-) -> Vec<GoldenSnapshot> {
-    let elim = to_engine_limits(limits);
-    let mut snaps = Vec::with_capacity(at_cycles.len());
-    for &cycle in at_cycles {
-        if core.run_until(&[], &elim, Some(cycle)).is_some() {
-            break; // terminal state before this checkpoint — stop capturing
-        }
-        snaps.push(GoldenSnapshot {
-            cycle,
-            state: Box::new(core.clone()),
-        });
-    }
-    snaps
-}
-
-/// The shared golden-recording shape: one fault-free run with commit
-/// signature recording enabled, returning both the golden result (identical
-/// to [`cold_run`] of the same empty mask) and the signature vector the
-/// tracer compares injection runs against.
-pub fn recording_run(
-    cfg: CoreConfig,
-    program: &Program,
-    spec: &InjectionSpec,
-    limits: &RunLimits,
-) -> (RawRunResult, Option<Arc<Vec<u64>>>) {
-    let mut core = OoOCore::new(cfg, program);
-    core.enable_signature_recording();
-    let faults = to_engine_faults(spec);
-    let run = core.run_scenario(&faults, to_engine_scenario(spec), &to_engine_limits(limits));
-    let result = to_raw_result(&core, run);
-    (result, Some(Arc::new(core.take_signature())))
-}
-
-/// The shared traced cold-run shape: [`cold_run`] with fault-lifecycle
-/// tracing enabled, assembling the observed events into a [`FaultTrace`].
-pub fn traced_cold_run(
-    cfg: CoreConfig,
-    program: &Program,
-    spec: &InjectionSpec,
-    limits: &RunLimits,
-    golden_sig: Option<&Arc<Vec<u64>>>,
-) -> (RawRunResult, Option<FaultTrace>) {
-    let mut core = OoOCore::new(cfg, program);
-    core.enable_fault_tracing(golden_sig.cloned());
-    let faults = to_engine_faults(spec);
-    let run = core.run_scenario(&faults, to_engine_scenario(spec), &to_engine_limits(limits));
-    let result = to_raw_result(&core, run);
-    let trace = assemble_trace(&core, spec);
-    (result, trace)
-}
-
-/// The shared traced warm-resume shape: [`warm_run`] with tracing enabled.
-/// Returns `None` for a foreign snapshot, exactly like [`warm_run`].
-pub fn traced_warm_run(
-    snap: &GoldenSnapshot,
-    spec: &InjectionSpec,
-    limits: &RunLimits,
-    golden_sig: Option<&Arc<Vec<u64>>>,
-) -> Option<(RawRunResult, Option<FaultTrace>)> {
-    let paused = snap.state.downcast_ref::<OoOCore>()?;
-    let mut core = paused.clone();
-    core.enable_fault_tracing(golden_sig.cloned());
-    let faults = to_engine_faults(spec);
-    let run = core.run_scenario(&faults, to_engine_scenario(spec), &to_engine_limits(limits));
-    let result = to_raw_result(&core, run);
-    let trace = assemble_trace(&core, spec);
-    Some((result, trace))
-}
-
-/// The shared profiled cold-run shape: [`cold_run`] with the pipeline
-/// stall/occupancy profiler enabled. The profiler only reads pipeline
-/// state, so the result is byte-identical to an unprofiled [`cold_run`].
-pub fn profiled_cold_run(
-    cfg: CoreConfig,
-    program: &Program,
-    spec: &InjectionSpec,
-    limits: &RunLimits,
-) -> (RawRunResult, Option<ProfileCounters>) {
-    let mut core = OoOCore::new(cfg, program);
-    core.enable_profiling();
-    let faults = to_engine_faults(spec);
-    let run = core.run_scenario(&faults, to_engine_scenario(spec), &to_engine_limits(limits));
-    let result = to_raw_result(&core, run);
-    let prof = core.profile_counters();
-    (result, prof)
-}
-
-/// The shared profiled warm-resume shape: [`warm_run`] with profiling. The
-/// snapshot must come from [`capture_snapshots_profiled`], whose clones
-/// already carry the prefix counters (enabling here only raises the gate),
-/// so the final counters equal a cold [`profiled_cold_run`] of the same
-/// mask. Returns `None` for a foreign snapshot, exactly like [`warm_run`].
-pub fn profiled_warm_run(
-    snap: &GoldenSnapshot,
-    spec: &InjectionSpec,
-    limits: &RunLimits,
-) -> Option<(RawRunResult, Option<ProfileCounters>)> {
-    let paused = snap.state.downcast_ref::<OoOCore>()?;
-    let mut core = paused.clone();
-    core.enable_profiling();
-    let faults = to_engine_faults(spec);
-    let run = core.run_scenario(&faults, to_engine_scenario(spec), &to_engine_limits(limits));
-    let result = to_raw_result(&core, run);
-    let prof = core.profile_counters();
-    Some((result, prof))
-}
-
-/// Shared profiled warm-start capture: [`capture_snapshots`] with the
-/// profiler enabled on the fresh core before the prefix is driven, so each
-/// snapshot clone holds the stall/occupancy counters of its fault-free
-/// prefix.
-pub fn capture_snapshots_profiled(
-    mut core: OoOCore,
-    at_cycles: &[u64],
-    limits: &RunLimits,
-) -> Vec<GoldenSnapshot> {
-    core.enable_profiling();
-    capture_snapshots(core, at_cycles, limits)
 }
 
 /// Assembles the event stream of one traced run from the core's raw
@@ -334,23 +435,4 @@ fn assemble_trace(core: &OoOCore, spec: &InjectionSpec) -> Option<FaultTrace> {
         scenario: spec.scenario.name().to_string(),
         events,
     })
-}
-
-/// The shared golden-residency shape: one fault-free run with residency
-/// tracing enabled on `structures`, feeding the ACE analysis.
-pub fn residency_run(
-    cfg: CoreConfig,
-    program: &Program,
-    structures: &[StructureId],
-    max_cycles: u64,
-) -> Vec<ResidencyLog> {
-    let mut core = OoOCore::new(cfg, program);
-    core.enable_residency(structures);
-    let elim = EngineLimits {
-        max_cycles,
-        early_stop: false,
-        deadlock_window: RunLimits::golden(max_cycles).deadlock_window,
-    };
-    core.run(&[], &elim);
-    core.take_residency()
 }

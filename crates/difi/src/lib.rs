@@ -73,17 +73,14 @@ pub mod prelude {
     pub use crate::setups;
     pub use difi_ace::{AceProfile, ArchRegAvf, Liveness, RegSet, SiteClass, StaticAvf};
     pub use difi_core::campaign::{
-        golden_run, run_campaign, run_campaign_checkpointed, run_campaign_collapsed,
-        run_campaign_pruned, CampaignConfig, CampaignRunner, CollapsedCampaign, PrunedCampaign,
-        Strategy,
+        golden_run, run_campaign, CampaignConfig, CampaignRunner, Strategy,
     };
     pub use difi_core::classify::{Classifier, FineOutcome, Outcome};
     pub use difi_core::dispatch::GoldenSnapshot;
     pub use difi_core::journal::{load_journal, CampaignHeader, JournalContents};
     pub use difi_core::logs::{CampaignLog, RunLog};
     pub use difi_core::masks::{
-        partition_equivalence, partition_provably_masked, spec_provably_masked, MaskClass,
-        MaskGenerator, MaskPartition,
+        partition_equivalence, spec_provably_masked, MaskClass, MaskGenerator, MaskPartition,
     };
     pub use difi_core::model::{
         ClassProvenance, EarlyStop, FaultDuration, FaultKindSer, FaultRecord, InjectTime,

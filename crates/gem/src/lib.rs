@@ -23,6 +23,11 @@
 //! Per-ISA functional units follow Table II: the x86 model is wide (6 int
 //! ALUs, 4 FP), the ARM model narrow (2 int ALUs, 2 FP).
 //!
+//! GeFIN is data only: its name, its ISA and [`gem_config`] for that ISA,
+//! exposed as a [`CoreSpec`] through [`CoreBacked`]. `difi-core` implements
+//! the whole [`InjectorDispatcher`](difi_core::InjectorDispatcher) once for
+//! every `CoreBacked` injector, so MaFIN runs the very same dispatcher code.
+//!
 //! ```
 //! use difi_gem::GeFin;
 //! use difi_core::{InjectorDispatcher, InjectionSpec, RunLimits};
@@ -43,19 +48,11 @@
 //! # }
 //! ```
 
-use difi_core::model::{InjectionSpec, RawRunResult, RunLimits};
-use difi_core::substrate::{
-    capture_snapshots, capture_snapshots_profiled, cold_run, profiled_cold_run, profiled_warm_run,
-    recording_run, residency_run, traced_cold_run, traced_warm_run, warm_run,
-};
-use difi_core::{GoldenSnapshot, InjectorDispatcher};
+use difi_core::{CoreBacked, CoreSpec};
 use difi_isa::program::{Isa, Program};
-use difi_obs::trace::FaultTrace;
 use difi_uarch::cache::CacheConfig;
-use difi_uarch::fault::{StructureDesc, StructureId};
 use difi_uarch::pipeline::{BtbOrg, CoreConfig, CorePolicy, LsqOrg, OoOCore};
 use difi_uarch::predictor::TournamentConfig;
-use difi_uarch::residency::ResidencyLog;
 
 /// The GemSim core configuration for one ISA (Table II, gem5 columns).
 pub fn gem_config(isa: Isa) -> CoreConfig {
@@ -99,183 +96,51 @@ pub fn gem_config(isa: Isa) -> CoreConfig {
     }
 }
 
-/// **GeFIN** — the gem5-based fault injector dispatcher for one ISA.
+/// **GeFIN** — the gem5-based fault injector dispatcher for one ISA:
+/// GemSim's [`CoreSpec`], dispatched by `difi-core`'s shared
+/// [`CoreBacked`] implementation.
 #[derive(Debug, Clone)]
 pub struct GeFin {
-    cfg: CoreConfig,
-    isa: Isa,
-    name: &'static str,
+    core: CoreSpec,
 }
 
 impl GeFin {
     /// GeFIN over the gem5/x86 configuration.
     pub fn x86() -> GeFin {
-        GeFin {
-            cfg: gem_config(Isa::X86e),
-            isa: Isa::X86e,
-            name: "GeFIN-x86",
-        }
+        GeFin::for_isa("GeFIN-x86", Isa::X86e)
     }
 
     /// GeFIN over the gem5/ARM configuration.
     pub fn arm() -> GeFin {
-        GeFin {
-            cfg: gem_config(Isa::Arme),
-            isa: Isa::Arme,
-            name: "GeFIN-ARM",
-        }
+        GeFin::for_isa("GeFIN-ARM", Isa::Arme)
     }
 
-    /// GeFIN over a custom configuration.
-    pub fn with_config(isa: Isa, cfg: CoreConfig) -> GeFin {
+    fn for_isa(name: &'static str, isa: Isa) -> GeFin {
         GeFin {
-            cfg,
-            isa,
-            name: match isa {
-                Isa::X86e => "GeFIN-x86",
-                Isa::Arme => "GeFIN-ARM",
+            core: CoreSpec {
+                name,
+                isa,
+                cfg: gem_config(isa),
             },
         }
     }
 
-    /// The underlying core configuration.
-    pub fn config(&self) -> &CoreConfig {
-        &self.cfg
-    }
-
     /// Boots a fresh GemSim instance for one run.
     pub fn boot(&self, program: &Program) -> OoOCore {
-        OoOCore::new(self.cfg, program)
+        OoOCore::new(self.core.cfg, program)
     }
 }
 
-impl InjectorDispatcher for GeFin {
-    fn name(&self) -> &str {
-        self.name
-    }
-
-    fn isa(&self) -> Isa {
-        self.isa
-    }
-
-    fn structures(&self) -> Vec<StructureDesc> {
-        OoOCore::structures(&self.cfg)
-    }
-
-    fn run(&self, program: &Program, spec: &InjectionSpec, limits: &RunLimits) -> RawRunResult {
-        assert_eq!(program.isa, self.isa, "program ISA must match the model");
-        cold_run(self.cfg, program, spec, limits)
-    }
-
-    fn golden_snapshots(
-        &self,
-        program: &Program,
-        at_cycles: &[u64],
-        limits: &RunLimits,
-    ) -> Option<Vec<GoldenSnapshot>> {
-        assert_eq!(program.isa, self.isa, "program ISA must match the model");
-        Some(capture_snapshots(
-            OoOCore::new(self.cfg, program),
-            at_cycles,
-            limits,
-        ))
-    }
-
-    fn run_from(
-        &self,
-        snap: &GoldenSnapshot,
-        program: &Program,
-        spec: &InjectionSpec,
-        limits: &RunLimits,
-    ) -> RawRunResult {
-        // A foreign snapshot falls back to the always-correct cold path.
-        warm_run(snap, spec, limits).unwrap_or_else(|| self.run(program, spec, limits))
-    }
-
-    fn golden_residency(
-        &self,
-        program: &Program,
-        structures: &[StructureId],
-        max_cycles: u64,
-    ) -> Vec<ResidencyLog> {
-        assert_eq!(program.isa, self.isa, "program ISA must match the model");
-        residency_run(self.cfg, program, structures, max_cycles)
-    }
-
-    fn golden_run_recording(
-        &self,
-        program: &Program,
-        spec: &InjectionSpec,
-        limits: &RunLimits,
-    ) -> (RawRunResult, Option<std::sync::Arc<Vec<u64>>>) {
-        assert_eq!(program.isa, self.isa, "program ISA must match the model");
-        recording_run(self.cfg, program, spec, limits)
-    }
-
-    fn run_traced(
-        &self,
-        program: &Program,
-        spec: &InjectionSpec,
-        limits: &RunLimits,
-        golden_sig: Option<&std::sync::Arc<Vec<u64>>>,
-    ) -> (RawRunResult, Option<FaultTrace>) {
-        assert_eq!(program.isa, self.isa, "program ISA must match the model");
-        traced_cold_run(self.cfg, program, spec, limits, golden_sig)
-    }
-
-    fn run_from_traced(
-        &self,
-        snap: &GoldenSnapshot,
-        program: &Program,
-        spec: &InjectionSpec,
-        limits: &RunLimits,
-        golden_sig: Option<&std::sync::Arc<Vec<u64>>>,
-    ) -> (RawRunResult, Option<FaultTrace>) {
-        // A foreign snapshot falls back to the always-correct cold path.
-        traced_warm_run(snap, spec, limits, golden_sig)
-            .unwrap_or_else(|| self.run_traced(program, spec, limits, golden_sig))
-    }
-
-    fn run_profiled(
-        &self,
-        program: &Program,
-        spec: &InjectionSpec,
-        limits: &RunLimits,
-    ) -> (RawRunResult, Option<difi_uarch::ProfileCounters>) {
-        assert_eq!(program.isa, self.isa, "program ISA must match the model");
-        profiled_cold_run(self.cfg, program, spec, limits)
-    }
-
-    fn run_from_profiled(
-        &self,
-        snap: &GoldenSnapshot,
-        program: &Program,
-        spec: &InjectionSpec,
-        limits: &RunLimits,
-    ) -> (RawRunResult, Option<difi_uarch::ProfileCounters>) {
-        // A foreign snapshot falls back to the always-correct cold path.
-        profiled_warm_run(snap, spec, limits)
-            .unwrap_or_else(|| self.run_profiled(program, spec, limits))
-    }
-
-    fn golden_snapshots_profiled(
-        &self,
-        program: &Program,
-        at_cycles: &[u64],
-        limits: &RunLimits,
-    ) -> Option<Vec<GoldenSnapshot>> {
-        assert_eq!(program.isa, self.isa, "program ISA must match the model");
-        Some(capture_snapshots_profiled(
-            OoOCore::new(self.cfg, program),
-            at_cycles,
-            limits,
-        ))
+impl CoreBacked for GeFin {
+    fn core_spec(&self) -> &CoreSpec {
+        &self.core
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use difi_core::InjectorDispatcher;
     use difi_uarch::fault::StructureId;
 
     #[test]

@@ -21,6 +21,11 @@
 //!   internal states stop the simulation with an assertion, wrong-path or
 //!   not.
 //!
+//! MaFIN is data only: its name, its ISA and [`mars_config`], exposed as a
+//! [`CoreSpec`] through [`CoreBacked`]. `difi-core` implements the whole
+//! [`InjectorDispatcher`](difi_core::InjectorDispatcher) once for every
+//! `CoreBacked` injector, so GeFIN runs the very same dispatcher code.
+//!
 //! ```
 //! use difi_mars::MaFin;
 //! use difi_core::{InjectorDispatcher, InjectionSpec, RunLimits};
@@ -41,23 +46,11 @@
 //! # }
 //! ```
 
-use difi_core::model::{InjectionSpec, RawRunResult, RunLimits};
-use difi_core::substrate::{
-    capture_snapshots_profiled, cold_run, profiled_cold_run, profiled_warm_run, recording_run,
-    residency_run, traced_cold_run, traced_warm_run, warm_run,
-};
-use difi_core::{GoldenSnapshot, InjectorDispatcher};
+use difi_core::{CoreBacked, CoreSpec};
 use difi_isa::program::{Isa, Program};
-use difi_obs::trace::FaultTrace;
 use difi_uarch::cache::CacheConfig;
-use difi_uarch::fault::{StructureDesc, StructureId};
 use difi_uarch::pipeline::{BtbOrg, CoreConfig, CorePolicy, LsqOrg, OoOCore};
 use difi_uarch::predictor::TournamentConfig;
-use difi_uarch::residency::ResidencyLog;
-
-pub use difi_core::substrate::{
-    capture_snapshots, to_engine_faults, to_engine_limits, to_raw_result, to_run_status,
-};
 
 /// The MarsSim core configuration (Table II, MARSS/x86 column).
 pub fn mars_config() -> CoreConfig {
@@ -103,32 +96,30 @@ pub fn perf_only_config() -> CoreConfig {
     c
 }
 
-/// **MaFIN** — the MARSS-based fault injector dispatcher.
+/// **MaFIN** — the MARSS-based fault injector dispatcher: MarsSim's
+/// [`CoreSpec`], dispatched by `difi-core`'s shared [`CoreBacked`]
+/// implementation.
 #[derive(Debug, Clone)]
 pub struct MaFin {
-    cfg: CoreConfig,
+    core: CoreSpec,
 }
 
 impl MaFin {
     /// A MaFIN over the paper's MarsSim configuration.
     pub fn new() -> MaFin {
-        MaFin { cfg: mars_config() }
-    }
-
-    /// A MaFIN over a custom configuration (sizing studies).
-    pub fn with_config(cfg: CoreConfig) -> MaFin {
-        MaFin { cfg }
-    }
-
-    /// The underlying core configuration.
-    pub fn config(&self) -> &CoreConfig {
-        &self.cfg
+        MaFin {
+            core: CoreSpec {
+                name: "MaFIN-x86",
+                isa: Isa::X86e,
+                cfg: mars_config(),
+            },
+        }
     }
 
     /// Boots a fresh MarsSim instance for one run (exposed for diagnostics
     /// and the runtime-statistics studies behind Remarks 1–11).
     pub fn boot(&self, program: &Program) -> OoOCore {
-        OoOCore::new(self.cfg, program)
+        OoOCore::new(self.core.cfg, program)
     }
 }
 
@@ -138,133 +129,16 @@ impl Default for MaFin {
     }
 }
 
-impl InjectorDispatcher for MaFin {
-    fn name(&self) -> &str {
-        "MaFIN-x86"
-    }
-
-    fn isa(&self) -> Isa {
-        Isa::X86e
-    }
-
-    fn structures(&self) -> Vec<StructureDesc> {
-        OoOCore::structures(&self.cfg)
-    }
-
-    fn run(&self, program: &Program, spec: &InjectionSpec, limits: &RunLimits) -> RawRunResult {
-        assert_eq!(program.isa, Isa::X86e, "MaFIN simulates x86e programs");
-        cold_run(self.cfg, program, spec, limits)
-    }
-
-    fn golden_snapshots(
-        &self,
-        program: &Program,
-        at_cycles: &[u64],
-        limits: &RunLimits,
-    ) -> Option<Vec<GoldenSnapshot>> {
-        assert_eq!(program.isa, Isa::X86e, "MaFIN simulates x86e programs");
-        Some(capture_snapshots(
-            OoOCore::new(self.cfg, program),
-            at_cycles,
-            limits,
-        ))
-    }
-
-    fn run_from(
-        &self,
-        snap: &GoldenSnapshot,
-        program: &Program,
-        spec: &InjectionSpec,
-        limits: &RunLimits,
-    ) -> RawRunResult {
-        // A foreign snapshot falls back to the always-correct cold path.
-        warm_run(snap, spec, limits).unwrap_or_else(|| self.run(program, spec, limits))
-    }
-
-    fn golden_residency(
-        &self,
-        program: &Program,
-        structures: &[StructureId],
-        max_cycles: u64,
-    ) -> Vec<ResidencyLog> {
-        assert_eq!(program.isa, Isa::X86e, "MaFIN simulates x86e programs");
-        residency_run(self.cfg, program, structures, max_cycles)
-    }
-
-    fn golden_run_recording(
-        &self,
-        program: &Program,
-        spec: &InjectionSpec,
-        limits: &RunLimits,
-    ) -> (RawRunResult, Option<std::sync::Arc<Vec<u64>>>) {
-        assert_eq!(program.isa, Isa::X86e, "MaFIN simulates x86e programs");
-        recording_run(self.cfg, program, spec, limits)
-    }
-
-    fn run_traced(
-        &self,
-        program: &Program,
-        spec: &InjectionSpec,
-        limits: &RunLimits,
-        golden_sig: Option<&std::sync::Arc<Vec<u64>>>,
-    ) -> (RawRunResult, Option<FaultTrace>) {
-        assert_eq!(program.isa, Isa::X86e, "MaFIN simulates x86e programs");
-        traced_cold_run(self.cfg, program, spec, limits, golden_sig)
-    }
-
-    fn run_from_traced(
-        &self,
-        snap: &GoldenSnapshot,
-        program: &Program,
-        spec: &InjectionSpec,
-        limits: &RunLimits,
-        golden_sig: Option<&std::sync::Arc<Vec<u64>>>,
-    ) -> (RawRunResult, Option<FaultTrace>) {
-        // A foreign snapshot falls back to the always-correct cold path.
-        traced_warm_run(snap, spec, limits, golden_sig)
-            .unwrap_or_else(|| self.run_traced(program, spec, limits, golden_sig))
-    }
-
-    fn run_profiled(
-        &self,
-        program: &Program,
-        spec: &InjectionSpec,
-        limits: &RunLimits,
-    ) -> (RawRunResult, Option<difi_uarch::ProfileCounters>) {
-        assert_eq!(program.isa, Isa::X86e, "MaFIN simulates x86e programs");
-        profiled_cold_run(self.cfg, program, spec, limits)
-    }
-
-    fn run_from_profiled(
-        &self,
-        snap: &GoldenSnapshot,
-        program: &Program,
-        spec: &InjectionSpec,
-        limits: &RunLimits,
-    ) -> (RawRunResult, Option<difi_uarch::ProfileCounters>) {
-        // A foreign snapshot falls back to the always-correct cold path.
-        profiled_warm_run(snap, spec, limits)
-            .unwrap_or_else(|| self.run_profiled(program, spec, limits))
-    }
-
-    fn golden_snapshots_profiled(
-        &self,
-        program: &Program,
-        at_cycles: &[u64],
-        limits: &RunLimits,
-    ) -> Option<Vec<GoldenSnapshot>> {
-        assert_eq!(program.isa, Isa::X86e, "MaFIN simulates x86e programs");
-        Some(capture_snapshots_profiled(
-            OoOCore::new(self.cfg, program),
-            at_cycles,
-            limits,
-        ))
+impl CoreBacked for MaFin {
+    fn core_spec(&self) -> &CoreSpec {
+        &self.core
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use difi_core::InjectorDispatcher;
     use difi_uarch::fault::StructureId;
 
     #[test]

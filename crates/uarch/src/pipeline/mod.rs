@@ -725,6 +725,11 @@ impl OoOCore {
         }
     }
 
+    /// The configuration this core was built with.
+    pub fn config(&self) -> &CoreConfig {
+        &self.cfg
+    }
+
     /// The injectable structures of this configuration (the per-simulator
     /// realization of Table IV).
     pub fn structures(cfg: &CoreConfig) -> Vec<StructureDesc> {

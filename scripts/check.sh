@@ -78,6 +78,13 @@ cargo build --release
 echo "==> cargo test"
 cargo test -q
 
+echo "==> workspace tests (release)"
+# `cargo test` at the root runs only the root package's suites; the member
+# crates' own #[test]s (dispatcher, substrate, campaign, masks, simulators)
+# run here, together with every integration suite, in release. The slowest,
+# l1i_fault_asserts_on_mars_crashes_on_gem, takes about 160 s on its own.
+cargo test --release -q --workspace
+
 echo "==> warm-start checkpoint equivalence (release)"
 # The differential oracle for the checkpointed campaign engine: run it
 # explicitly (and in release — it simulates full campaigns twice).

@@ -1,14 +1,17 @@
 //! ACE-pruning soundness and savings: the static analysis may only remove
-//! simulated work, never change a verdict.
+//! simulated work, never change a verdict. Pruning is the dead classes of a
+//! [`Strategy::Collapsed`] campaign: masks the golden-run residency profile
+//! proves masked resolve without dispatch.
 //!
-//! (a) Soundness spot-check: every mask the pruner classifies Masked is
-//!     re-run as a *real* injection (early stops disabled) and must come
-//!     back Masked, on two workloads × both simulator backends.
-//! (b) Savings: a pruned campaign dispatches measurably fewer runs than the
-//!     unpruned campaign over the same masks while producing identical
+//! (a) Soundness spot-check: every dead-class mask is re-run as a *real*
+//!     injection (early stops disabled) and must come back Masked, on two
+//!     workloads × both simulator backends.
+//! (b) Savings: a collapsed campaign dispatches measurably fewer runs than
+//!     the full campaign over the same masks while producing identical
 //!     per-class totals.
 
 use difi::prelude::*;
+use std::sync::Arc;
 
 const STRUCTURE: StructureId = StructureId::IntRegFile;
 const MAX_CYCLES: u64 = 200_000_000;
@@ -17,6 +20,17 @@ fn profile_for(dispatcher: &dyn InjectorDispatcher, program: &Program) -> AcePro
     let logs = dispatcher.golden_residency(program, &[STRUCTURE], MAX_CYCLES);
     let log = logs.into_iter().next().expect("residency trace recorded");
     AceProfile::new(log).expect("int_prf is a data plane")
+}
+
+/// A collapsed campaign, split by how each mask was resolved.
+struct PrunedCampaign {
+    log: CampaignLog,
+    /// Ids of the dead-class masks, logged Masked without dispatch.
+    pruned_ids: Vec<u64>,
+    /// Masks dispatched to the simulator (excluding the golden run).
+    dispatched: usize,
+    /// Latch-class members that inherited their representative's result.
+    replicated: usize,
 }
 
 fn pruned_campaign(
@@ -30,19 +44,32 @@ fn pruned_campaign(
     let desc = difi::core::dispatch::structure_desc(dispatcher, STRUCTURE).expect("injectable");
     let masks = MaskGenerator::new(seed).transient(&desc, golden.cycles_measured(), n);
     let profile = profile_for(dispatcher, &program);
-    let pruned = run_campaign_pruned(
-        dispatcher,
-        &program,
-        STRUCTURE,
-        seed,
-        &masks,
-        &CampaignConfig {
-            threads: 2,
-            early_stop: true,
-            golden_max_cycles: MAX_CYCLES,
-        },
-        &profile,
-    );
+    let metrics = Arc::new(MetricsRegistry::new());
+    let cfg = CampaignConfig {
+        threads: 2,
+        early_stop: true,
+        golden_max_cycles: MAX_CYCLES,
+    };
+    let log = CampaignRunner::new(dispatcher, &program, STRUCTURE, seed, &cfg)
+        .with_strategy(Strategy::Collapsed {
+            profile: &profile,
+            checkpoints: 0,
+        })
+        .with_metrics(Arc::clone(&metrics))
+        .run(&masks);
+    let pruned_ids = log
+        .runs
+        .iter()
+        .filter(|r| r.provenance.map(|p| p.proof) == Some(ProofKind::DeadInterval))
+        .map(|r| r.spec.id)
+        .collect();
+    let counter = |name: &str| metrics.value(name).expect("collapse counter") as usize;
+    let pruned = PrunedCampaign {
+        log,
+        pruned_ids,
+        dispatched: counter("campaign.collapse.dispatched"),
+        replicated: counter("campaign.collapse.replicated"),
+    };
     (pruned, masks, program)
 }
 
@@ -108,9 +135,9 @@ fn pruning_saves_dispatches_with_identical_totals() {
             dispatcher.name()
         );
         assert_eq!(
-            pruned.dispatched + pruned.pruned_ids.len(),
+            pruned.dispatched + pruned.pruned_ids.len() + pruned.replicated,
             masks.len(),
-            "every mask is either dispatched or logged as pruned"
+            "every mask is dispatched, logged as pruned, or replicated"
         );
         assert_eq!(pruned.log.runs.len(), baseline.runs.len());
         // Identical per-class totals.

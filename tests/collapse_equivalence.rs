@@ -12,6 +12,7 @@
 //!     resumes to the identical log (composed with the warm-start engine).
 
 use difi::prelude::*;
+use std::sync::Arc;
 
 const STRUCTURE: StructureId = StructureId::IntRegFile;
 const MAX_CYCLES: u64 = 200_000_000;
@@ -77,6 +78,39 @@ fn cfg() -> CampaignConfig {
     }
 }
 
+/// A collapsed campaign with cold representatives, plus the partition it
+/// collapsed through and the representatives the runner dispatched.
+struct Collapsed {
+    log: CampaignLog,
+    partition: MaskPartition,
+    dispatched: usize,
+}
+
+fn collapsed_campaign(
+    dispatcher: &dyn InjectorDispatcher,
+    program: &Program,
+    seed: u64,
+    masks: &[InjectionSpec],
+    profile: &AceProfile,
+) -> Collapsed {
+    let metrics = Arc::new(MetricsRegistry::new());
+    let log = CampaignRunner::new(dispatcher, program, STRUCTURE, seed, &cfg())
+        .with_strategy(Strategy::Collapsed {
+            profile,
+            checkpoints: 0,
+        })
+        .with_metrics(Arc::clone(&metrics))
+        .run(masks);
+    let dispatched = metrics
+        .value("campaign.collapse.dispatched")
+        .expect("collapse counter") as usize;
+    Collapsed {
+        log,
+        partition: partition_equivalence(masks, profile),
+        dispatched,
+    }
+}
+
 #[test]
 fn collapsed_campaign_classifies_every_mask_like_the_full_campaign() {
     // Debug builds check one workload to keep `cargo test` fast; the
@@ -95,8 +129,7 @@ fn collapsed_campaign_classifies_every_mask_like_the_full_campaign() {
             let profile = profile_for(d, &program);
             let masks = sweep_masks(&profile, &desc, golden.cycles_measured(), 2015);
             let full = run_campaign(d, &program, STRUCTURE, 2015, &masks, &cfg());
-            let collapsed =
-                run_campaign_collapsed(d, &program, STRUCTURE, 2015, &masks, &cfg(), &profile);
+            let collapsed = collapsed_campaign(d, &program, 2015, &masks, &profile);
             assert!(
                 collapsed.dispatched < masks.len(),
                 "{} {}: a dense sweep must collapse",
@@ -137,8 +170,7 @@ fn collapse_saves_dispatches_with_sound_provenance() {
     let desc = difi::core::dispatch::structure_desc(&mafin, STRUCTURE).expect("injectable");
     let profile = profile_for(&mafin, &program);
     let masks = sweep_masks(&profile, &desc, golden.cycles_measured(), 99);
-    let collapsed =
-        run_campaign_collapsed(&mafin, &program, STRUCTURE, 99, &masks, &cfg(), &profile);
+    let collapsed = collapsed_campaign(&mafin, &program, 99, &masks, &profile);
     let part = &collapsed.partition;
     assert!(
         part.collapse_ratio() > 1.0,

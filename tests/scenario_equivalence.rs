@@ -102,8 +102,9 @@ fn mixed_scenarios_are_byte_identical_across_strategies() {
 
             // Warm-start: restore a golden checkpoint before each scenario
             // trigger instead of cold-booting — must change nothing.
-            let warm =
-                run_campaign_checkpointed(d, &c.program, STRUCTURE, 2015, &c.masks, &cfg(), 2);
+            let warm = CampaignRunner::new(d, &c.program, STRUCTURE, 2015, &cfg())
+                .with_strategy(Strategy::Checkpointed { checkpoints: 2 })
+                .run(&c.masks);
             assert_eq!(cold, warm, "{tag}: checkpointed diverged from cold");
 
             // Crash-resume mid-campaign: the journaled prefix plus the
@@ -136,19 +137,16 @@ fn collapse_stays_sound_with_scenarios_mixed_in() {
         .expect("int_prf is a data plane");
 
     let cold = run_campaign(&mafin, &c.program, STRUCTURE, 2015, &c.masks, &cfg());
-    let collapsed = run_campaign_collapsed(
-        &mafin,
-        &c.program,
-        STRUCTURE,
-        2015,
-        &c.masks,
-        &cfg(),
-        &profile,
-    );
-    assert_eq!(cold.runs.len(), collapsed.log.runs.len());
+    let collapsed = CampaignRunner::new(&mafin, &c.program, STRUCTURE, 2015, &cfg())
+        .with_strategy(Strategy::Collapsed {
+            profile: &profile,
+            checkpoints: 0,
+        })
+        .run(&c.masks);
+    assert_eq!(cold.runs.len(), collapsed.runs.len());
 
     let classifier = Classifier::from_golden(&cold.golden);
-    for (a, b) in cold.runs.iter().zip(&collapsed.log.runs) {
+    for (a, b) in cold.runs.iter().zip(&collapsed.runs) {
         assert_eq!(a.spec, b.spec);
         assert_eq!(
             classifier.classify(&a.result),

@@ -39,15 +39,9 @@ fn campaign_pair(
         golden_max_cycles: 200_000_000,
     };
     let cold = run_campaign(dispatcher, &program, structure, 1979, &masks, &cfg);
-    let warm = run_campaign_checkpointed(
-        dispatcher,
-        &program,
-        structure,
-        1979,
-        &masks,
-        &cfg,
-        checkpoints,
-    );
+    let warm = CampaignRunner::new(dispatcher, &program, structure, 1979, &cfg)
+        .with_strategy(Strategy::Checkpointed { checkpoints })
+        .run(&masks);
     (cold, warm)
 }
 
@@ -122,6 +116,22 @@ fn snapshots_capture_and_resume_mid_run() {
     let cold = mafin.run(&program, &spec, &limits);
     let warm = mafin.run_from(&snaps[1], &program, &spec, &limits);
     assert_eq!(cold, warm, "resumed run must equal the cold run exactly");
+
+    // A snapshot of another core configuration is foreign: GeFIN-x86 runs
+    // the same x86e program cold instead of resuming MaFIN's paused core.
+    let gefin = GeFin::x86();
+    let gefin_golden = golden_run(&gefin, &program, 200_000_000);
+    assert_ne!(gefin_golden.cycles, golden.cycles, "the two cores differ");
+    let from_foreign = gefin.run_from(
+        &snaps[0],
+        &program,
+        &InjectionSpec::fault_free(u64::MAX),
+        &RunLimits::golden(200_000_000),
+    );
+    assert_eq!(
+        from_foreign, gefin_golden,
+        "a foreign snapshot must fall back to the cold path"
+    );
 
     // Capture past the end of the program stops early instead of spinning.
     let tail = mafin
